@@ -7,7 +7,8 @@ Subcommands:
   minors   dump the exponent set S
 
 Input is a JSON document {"d": int, "generators": [[...], ...]}.
-Exit codes: 0 success, 1 budget exhausted, 2 input error.
+Exit codes: 0 success, 1 budget exhausted or no smooth order found,
+2 input error, 3 internal error.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .pipeline import (InputError, StepConfig, nash_step, resolve,
 EXIT_OK = 0
 EXIT_BUDGET = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def load_input(path):
@@ -52,8 +54,7 @@ def load_input(path):
 
 
 def _config(args):
-    return StepConfig(mode=args.mode, budget_nodes=args.budget_nodes,
-                      threads=args.threads)
+    return StepConfig(mode=args.mode, budget_nodes=args.budget_nodes)
 
 
 def _grouped_lines(exponents):
@@ -179,7 +180,9 @@ def build_parser():
         p.add_argument("--exponent-form", choices=("canonical", "raw"),
                        default="canonical")
         p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored; chart analysis is "
+                            "single-threaded")
         p.add_argument("--budget-nodes", type=int, default=5_000_000)
 
     p = sub.add_parser("step", help="run a single order")
@@ -223,6 +226,9 @@ def main(argv=None, out=None, err=None):
     except ValueError as e:
         print("input error: %s" % e, file=err)
         return EXIT_INPUT
+    except Exception as e:
+        print("internal error: %s: %s" % (type(e).__name__, e), file=err)
+        return EXIT_INTERNAL
 
 
 def main_entry():

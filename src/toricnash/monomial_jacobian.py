@@ -9,7 +9,6 @@ torus and nothing is ever evaluated at 0.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .multiindex import (enumerate_lambda, multi_binomial, multi_factorial,
                          sub_indices)
@@ -65,9 +64,14 @@ def b_coeff(gamma, alpha, A):
 
 
 def c_coeff(beta, alpha, A):
-    """Alternating sum over 0 != gamma <= beta, divided by alpha!."""
-    total = 0
+    """Alternating sum over 0 != gamma <= beta, divided by alpha!.
+
+    The sum vanishes when |alpha| < |beta|, so it is not formed there.
+    """
     deg_beta = sum(beta)
+    if sum(alpha) < deg_beta:
+        return Fraction(0)
+    total = 0
     for gamma in sub_indices(beta):
         if not any(gamma):
             continue
@@ -122,29 +126,7 @@ def build_coeff_matrix(A, n):
         raise ValueError("order must be >= 1")
     rows_idx = tuple(enumerate_lambda(A.s, n))
     cols_idx = tuple(enumerate_lambda(A.d, n))
-
-    @lru_cache(maxsize=None)
-    def b_cached(gamma, alpha):
-        return b_coeff(gamma, alpha, A)
-
-    entries = []
-    for beta in rows_idx:
-        deg_beta = sum(beta)
-        row = []
-        for alpha in cols_idx:
-            if sum(alpha) < deg_beta:
-                row.append(Fraction(0))
-                continue
-            total = 0
-            for gamma in sub_indices(beta):
-                if not any(gamma):
-                    continue
-                b = b_cached(gamma, alpha)
-                if b == 0:
-                    continue
-                sign = -1 if (deg_beta - sum(gamma)) % 2 else 1
-                total += sign * multi_binomial(beta, gamma) * b
-            row.append(Fraction(total, multi_factorial(alpha)))
-        entries.append(tuple(row))
+    entries = tuple(tuple(c_coeff(beta, alpha, A) for alpha in cols_idx)
+                    for beta in rows_idx)
     return CoeffMatrix(A=A, order=n, row_index=rows_idx, col_index=cols_idx,
-                       entries=tuple(entries))
+                       entries=entries)

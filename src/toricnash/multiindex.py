@@ -9,10 +9,6 @@ significant, so for two variables the degree-2 slice reads
 from math import comb, factorial
 
 
-def degree(gamma):
-    return sum(gamma)
-
-
 def grlex_key(gamma):
     """Sort key realizing the graded-lex order used for rows and columns."""
     return (sum(gamma), tuple(-g for g in gamma))

@@ -5,7 +5,6 @@ raised by one; the algorithm never recurses into charts.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import lattice_geometry, semigroup
@@ -26,7 +25,6 @@ class InputError(Exception):
 class StepConfig:
     mode: str = "pruned"
     budget_nodes: int = 5_000_000
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -72,13 +70,7 @@ def nash_step(A, n, config=StepConfig()):
     stats = {}
     S = nonzero_minor_exponents(L, mode=config.mode,
                                 budget_nodes=config.budget_nodes, stats=stats)
-    centers = list(S.exponents)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            charts = tuple(pool.map(
-                lambda m0: semigroup.analyze_chart(A, S, m0), centers))
-    else:
-        charts = tuple(semigroup.analyze_chart(A, S, m0) for m0 in centers)
+    charts = tuple(semigroup.analyze_chart(A, S, m0) for m0 in S.exponents)
     essential = [c for c in charts if c.essential]
     return StepReport(
         order=n,
@@ -122,7 +114,6 @@ def _chart_to_dict(c):
         "minimal_generators": (None if c.minimal_generators is None
                                else [list(g) for g in c.minimal_generators]),
         "smooth": c.smooth,
-        "lattice_full": c.lattice_full,
     }
 
 
@@ -134,7 +125,6 @@ def _chart_from_dict(d):
         minimal_generators=(None if d["minimal_generators"] is None
                             else tuple(tuple(g) for g in d["minimal_generators"])),
         smooth=d["smooth"],
-        lattice_full=d["lattice_full"],
     )
 
 

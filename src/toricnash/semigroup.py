@@ -19,7 +19,6 @@ class Chart:
     essential: bool
     minimal_generators: tuple = None   # present iff essential
     smooth: bool = None                # present iff essential
-    lattice_full: bool = None          # sanity check, reported not enforced
 
 
 def chart_generators(A, S, m0):
@@ -43,86 +42,70 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def member(target, gens, w, _memo=None):
-    """Whether target is an N-combination of gens.
+def member_certificate(target, gens, w):
+    """Multipliers lambda with sum lambda_i g_i = target, or None.
 
     w must be a functional with w.g >= 1 for every generator; it bounds
     the search since each step consumes at least one unit of w-weight.
+    The search is depth-first with an explicit stack: generators are tried
+    heaviest-first, a state (remainder, position) only uses generators
+    from its position on, and failed states are remembered.
     """
-    target = tuple(target)
-    gens = sorted((tuple(g) for g in gens), key=lambda g: -_dot(w, g))
-    memo = {} if _memo is None else _memo
-    zero = (0,) * len(target)
-
-    def rec(t, i):
-        if t == zero:
-            return True
-        wt = _dot(w, t)
-        if wt < 1:
-            return False
-        key = (t, i)
-        if key in memo:
-            return memo[key]
-        ok = False
-        for j in range(i, len(gens)):
-            g = gens[j]
-            if _dot(w, g) <= wt:
-                if rec(tuple(a - b for a, b in zip(t, g)), j):
-                    ok = True
-                    break
-        memo[key] = ok
-        return ok
-
-    return rec(target, 0)
-
-
-def member_certificate(target, gens, w):
-    """Multipliers lambda with sum lambda_i g_i = target, or None."""
     target = tuple(target)
     gens = [tuple(g) for g in gens]
     order = sorted(range(len(gens)), key=lambda j: -_dot(w, gens[j]))
+    weights = [_dot(w, gens[j]) for j in order]
     zero = (0,) * len(target)
-    memo = {}
-
-    def rec(t, i):
-        if t == zero:
-            return ()
-        wt = _dot(w, t)
-        if wt < 1:
-            return None
-        key = (t, i)
-        if key in memo:
-            return memo[key]
-        out = None
-        for pos in range(i, len(order)):
-            g = gens[order[pos]]
-            if _dot(w, g) <= wt:
-                sub = rec(tuple(a - b for a, b in zip(t, g)), pos)
-                if sub is not None:
-                    out = (order[pos],) + sub
-                    break
-        memo[key] = out
-        return out
-
-    path = rec(target, 0)
-    if path is None:
-        return None
     lam = [0] * len(gens)
-    for j in path:
-        lam[j] += 1
-    return tuple(lam)
+    if target == zero:
+        return tuple(lam)
+    wt = _dot(w, target)
+    if wt < 1:
+        return None
+    failed = set()
+    # Frames hold [remainder, its weight, start, next position]; a frame's
+    # next position minus one is the generator it took.
+    stack = [[target, wt, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        t, wt, start, pos = frame
+        while pos < len(order) and weights[pos] > wt:
+            pos += 1
+        if pos == len(order):
+            failed.add((t, start))
+            stack.pop()
+            continue
+        frame[3] = pos + 1
+        g = gens[order[pos]]
+        rest = tuple(a - b for a, b in zip(t, g))
+        if rest == zero:
+            for f in stack:
+                lam[order[f[3] - 1]] += 1
+            return tuple(lam)
+        rest_wt = wt - weights[pos]
+        if rest_wt < 1 or (rest, pos) in failed:
+            continue
+        stack.append([rest, rest_wt, pos, pos])
+    return None
 
 
-def minimal_generators(gens):
+def member(target, gens, w):
+    """Whether target is an N-combination of gens (see member_certificate)."""
+    return member_certificate(target, gens, w) is not None
+
+
+def minimal_generators(gens, w=None):
     """Unique inclusion-minimal generating subset of a pointed semigroup.
 
-    Candidates are retried in decreasing w-weight order until no element
-    is an N-combination of the remaining ones.
+    w is a functional with w.g >= 1 on every generator; when None it is
+    computed.  Candidates are retried in decreasing w-weight order until
+    no element is an N-combination of the remaining ones.
     """
     gens = sorted({tuple(g) for g in gens})
     zero = (0,) * len(gens[0])
     gens = [g for g in gens if g != zero]
-    w = lattice_geometry.positive_functional(gens)
+    if w is None:
+        w = lattice_geometry.positive_functional(gens)
     if w is None:
         raise ValueError("generators are not essential; "
                          "minimal generating set is not unique")
@@ -144,9 +127,7 @@ def analyze_chart(A, S, m0):
     kind, cert = lattice_geometry.origin_certificate(gens)
     if kind == "inside":
         return Chart(center=tuple(m0), generators=gens, essential=False)
-    mingens = minimal_generators(gens)
-    full = lattice_geometry.zspan_is_full(gens)
+    mingens = minimal_generators(gens, cert)
     return Chart(center=tuple(m0), generators=gens, essential=True,
                  minimal_generators=mingens,
-                 smooth=(len(mingens) == A.d),
-                 lattice_full=full)
+                 smooth=(len(mingens) == A.d))

@@ -148,6 +148,7 @@ def test_unknown_flag(surface_input):
 
 
 def test_threads_flag_same_output(surface_input):
+    # --threads is accepted and ignored: chart analysis is single-threaded.
     _, out1, _ = run(["step", "--input", surface_input, "--order", "2",
                       "--emit", "json"])
     _, out4, _ = run(["step", "--input", surface_input, "--order", "2",
@@ -155,3 +156,33 @@ def test_threads_flag_same_output(surface_input):
     d1, d4 = json.loads(out1), json.loads(out4)
     d1.pop("elapsed"), d4.pop("elapsed")
     assert d1 == d4
+
+
+def test_heavy_generator_step_has_no_recursion_limit(tmp_path):
+    # Membership tests on (1,3000) take about 3000 search steps deep.
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(
+        {"d": 2, "generators": [[1, 0], [0, 1], [1, 3000]]}))
+    code, out, err = run(["step", "--input", str(path), "--order", "1",
+                          "--emit", "json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert len(doc["exponents"]) == 3
+    essential = [c for c in doc["charts"] if c["essential"]]
+    assert len(essential) == 1
+    assert essential[0]["center"] == [0, 0]
+    assert essential[0]["smooth"] is True
+    assert essential[0]["minimal_generators"] == [[0, 1], [1, 0]]
+
+
+def test_unexpected_exception_exits_internal(surface_input, monkeypatch):
+    import toricnash.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(toricnash.cli, "nash_step", broken)
+    code, out, err = run(["step", "--input", surface_input, "--order", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"

@@ -77,12 +77,6 @@ def test_resolve_reference_surface_exhausts_budget():
     assert len(report.steps) == 2
 
 
-def test_determinism_across_thread_counts():
-    one = nash_step(SURFACE, 2, StepConfig(threads=1))
-    four = nash_step(SURFACE, 2, StepConfig(threads=4))
-    assert one == four  # elapsed excluded from comparison
-
-
 def test_naive_and_pruned_steps_agree():
     a = nash_step(SURFACE, 2, StepConfig(mode="pruned"))
     b = nash_step(SURFACE, 2, StepConfig(mode="naive"))

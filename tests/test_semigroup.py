@@ -3,8 +3,10 @@ import random
 import pytest
 
 from conftest import SURFACE, exhaustive_member
+from toricnash.lattice_geometry import zspan_is_full
 from toricnash.minors import nonzero_minor_exponents
 from toricnash.monomial_jacobian import build_coeff_matrix
+from toricnash.pipeline import nash_step
 from toricnash.semigroup import (analyze_chart, chart_generators, member,
                                  member_certificate, minimal_generators)
 
@@ -74,7 +76,13 @@ def test_member_matches_exhaustive_oracle():
         budget = sum(wi * ti for wi, ti in zip(w, target))
         if budget < 0 or budget > 30:
             continue
-        assert member(target, gens, w) == exhaustive_member(target, gens, budget)
+        expected = exhaustive_member(target, gens, budget)
+        assert member(target, gens, w) == expected
+        lam = member_certificate(target, gens, w)
+        assert (lam is not None) == expected
+        if lam is not None:
+            assert tuple(sum(l * g[i] for l, g in zip(lam, gens))
+                         for i in range(2)) == target
 
 
 def test_member_certificate_verifies():
@@ -141,7 +149,14 @@ def test_analyze_chart_reference_order_one():
     assert chart.essential
     assert chart.minimal_generators == ((-1, -4), (0, -1), (1, 2), (2, 5))
     assert chart.smooth is False
-    assert chart.lattice_full
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chart_generators_span_the_lattice(n):
+    # Chart generators contain A, which spans Z^d, so every chart's
+    # generators do too; no per-chart check is needed in the pipeline.
+    for chart in nash_step(SURFACE, n).charts:
+        assert zspan_is_full(chart.generators)
 
 
 def test_analyze_chart_non_essential():
