@@ -1,10 +1,11 @@
 """Exact convex geometry over Q and lattice span checks over Z.
 
-The single primitive is an exact phase-one simplex deciding whether the
-origin lies in the convex hull of a finite point set.  Both possible
-certificates are produced and re-verified by substitution before being
-returned: a convex combination hitting 0, or an integer functional w
-with w.p >= 1 on every point (the Farkas dual).
+Whether the origin lies in the convex hull of a finite point set is
+decided exactly.  A set holding a pair p, -p contains it without any LP:
+0 = 1/2 p + 1/2 (-p), and p = 0 is the pair (0, 0).  Every other set goes
+to an exact phase-one simplex.  Both possible certificates are re-verified
+by substitution before being returned: a convex combination hitting 0, or
+an integer functional w with w.p >= 1 on every point (the Farkas dual).
 """
 
 from fractions import Fraction
@@ -85,13 +86,12 @@ def _phase_one(points):
 
 
 def _check_inside(points, lambdas):
-    if any(l < 0 for l in lambdas) or sum(lambdas) != 1:
+    # Zero weights add nothing to any sum, so only the support is summed.
+    support = [(l, p) for l, p in zip(lambdas, points) if l]
+    if any(l < 0 for l, _ in support) or sum(l for l, _ in support) != 1:
         return False
-    d = len(points[0])
-    for i in range(d):
-        if sum(l * p[i] for l, p in zip(lambdas, points)) != 0:
-            return False
-    return True
+    return all(sum(l * p[i] for l, p in support) == 0
+               for i in range(len(points[0])))
 
 
 def origin_certificate(points):
@@ -105,14 +105,21 @@ def origin_certificate(points):
     d = len(points[0])
     if any(len(p) != d for p in points):
         raise ValueError("points of mixed dimension")
-    zero = (0,) * d
-    if zero in points:
-        lambdas = [Fraction(int(p == zero)) for p in points]
-        if sum(lambdas) != 1:  # several zeros: put all weight on the first
-            lambdas = [Fraction(0)] * len(points)
-            lambdas[points.index(zero)] = Fraction(1)
-        return "inside", lambdas
-    kind, cert = _phase_one(points)
+    # Pair certificate: half on the first p whose negation is a point, half
+    # on that negation's first index.  For p = 0 both halves land on the
+    # first zero.
+    first = {}
+    for i, p in enumerate(points):
+        first.setdefault(p, i)
+    for i, p in enumerate(points):
+        j = first.get(tuple(-v for v in p))
+        if j is not None:
+            kind, cert = "inside", [Fraction(0)] * len(points)
+            cert[i] += Fraction(1, 2)
+            cert[j] += Fraction(1, 2)
+            break
+    else:
+        kind, cert = _phase_one(points)
     if kind == "inside":
         if not _check_inside(points, cert):
             raise AssertionError("convex-combination certificate failed")

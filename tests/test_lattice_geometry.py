@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricnash.lattice_geometry import (contains_origin, origin_certificate,
+from toricnash.lattice_geometry import (_phase_one, contains_origin,
+                                        origin_certificate,
                                         positive_functional, zspan_is_full)
 
 point_sets = st.integers(1, 3).flatmap(
@@ -25,6 +26,44 @@ def test_opposite_points():
 
 def test_zero_point_short_circuit():
     assert contains_origin([(3, 4), (0, 0)])
+    # 0 pairs with itself: both halves land on the first zero
+    assert origin_certificate([(3, 4), (0, 0), (0, 0)]) == (
+        "inside", [0, 1, 0])
+
+
+def test_pair_certificate_puts_half_on_each_point():
+    assert origin_certificate([(2, 1), (0, 5), (-2, -1)]) == (
+        "inside", [Fraction(1, 2), 0, Fraction(1, 2)])
+
+
+def test_no_pair_goes_to_the_simplex():
+    points = [(1, 0), (-1, 1), (0, -1)]
+    assert origin_certificate(points) == _phase_one(points) == (
+        "inside", [Fraction(1, 3)] * 3)
+
+
+@st.composite
+def planted_pairs(draw):
+    """A point set with -p inserted for one of its points p."""
+    points = draw(point_sets)
+    p = draw(st.sampled_from(points))
+    at = draw(st.integers(0, len(points)))
+    return points[:at] + [tuple(-v for v in p)] + points[at:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_pairs())
+def test_planted_pair_agrees_with_simplex(points):
+    kind, cert = origin_certificate(points)
+    assert kind == _phase_one(points)[0] == "inside"
+    support = [i for i, l in enumerate(cert) if l]
+    if len(support) == 1:
+        assert cert[support[0]] == 1
+        assert not any(points[support[0]])
+    else:
+        i, j = support
+        assert cert[i] == cert[j] == Fraction(1, 2)
+        assert points[j] == tuple(-v for v in points[i])
 
 
 def test_empty_rejected():
@@ -52,6 +91,7 @@ def test_positive_functional_examples():
 @given(point_sets)
 def test_farkas_duality(points):
     kind, cert = origin_certificate(points)
+    assert kind == _phase_one(points)[0]
     if kind == "inside":
         assert all(c >= 0 for c in cert)
         assert sum(cert) == 1

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,36 @@ from toricnash.pipeline import (InputError, StepConfig, nash_step, resolve,
                                 step_report_from_dict, step_report_to_dict)
 
 SMOOTH_PLANE = GeneratorMatrix(columns=((1, 0), (0, 1)))
+CONE3 = GeneratorMatrix(columns=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+
+
+def cyclic_quotient(p, r):
+    """A = Hilbert basis of cone((1,0),(p,r)): its irreducible points.
+
+    The cone lies in the first quadrant, so a summand of a point is below
+    it in both coordinates, and the Hilbert basis lies in the closed
+    fundamental parallelogram, inside the box x <= p + 1, y <= r.
+    """
+    cone = {(x, y) for x in range(p + 2) for y in range(r + 1)
+            if (x, y) != (0, 0) and r * x - p * y >= 0}
+    return GeneratorMatrix(columns=tuple(sorted(
+        v for v in cone
+        if not any((v[0] - u[0], v[1] - u[1]) in cone for u in cone))))
+
+
+def coordinate_change(seed, d):
+    """Seeded U in GL_d(Z): a coordinate permutation, then one shear
+    row_i += c * row_j with c = +-1."""
+    rng = random.Random(seed)
+    U = [[int(j == k) for j in range(d)] for k in rng.sample(range(d), d)]
+    i, j = rng.sample(range(d), 2)
+    c = rng.choice((-1, 1))
+    U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def mul(U, v):
+    return tuple(sum(u * x for u, x in zip(row, v)) for row in U)
 
 
 def test_rejects_non_spanning_input():
@@ -116,3 +147,39 @@ def test_resolution_report_roundtrip():
     report = resolve(SURFACE, 2)
     blob = json.dumps(resolution_report_to_dict(report))
     assert resolution_report_from_dict(json.loads(blob)) == report
+
+
+def test_cyclic_quotient_basis_of_reference_cone():
+    assert cyclic_quotient(2, 5) == SURFACE
+    assert cyclic_quotient(1, 3).columns == ((1, 0), (1, 1), (1, 2), (1, 3))
+
+
+@pytest.mark.parametrize("A, n, seed", [
+    (SURFACE, 1, 1), (SURFACE, 2, 2),
+    (cyclic_quotient(1, 3), 1, 3), (cyclic_quotient(1, 3), 2, 4),
+    (cyclic_quotient(3, 5), 1, 5), (cyclic_quotient(3, 5), 2, 6),
+    (cyclic_quotient(2, 7), 2, 7), (CONE3, 1, 8)],
+    ids=["surface-1", "surface-2", "cq13-1", "cq13-2", "cq35-1", "cq35-2",
+         "cq27-2", "cone3-1"])
+def test_unimodular_invariance(A, n, seed):
+    # The program reports exponents minus sigma_n, so a moved exponent
+    # U.e + U.sigma_n reads U.e + (U.sigma_n - sigma_n).
+    U = coordinate_change(seed, A.d)
+    sigma = sigma_shift(A.d, n)
+    shift = tuple(a - b for a, b in zip(mul(U, sigma), sigma))
+
+    def move(e):
+        return tuple(a + b for a, b in zip(mul(U, e), shift))
+
+    base = nash_step(A, n)
+    moved = nash_step(
+        GeneratorMatrix(columns=tuple(mul(U, g) for g in A.columns)), n)
+    assert set(moved.exponents) == {move(e) for e in base.exponents}
+    essential = {move(c.center): c for c in base.charts if c.essential}
+    moved_essential = {c.center: c for c in moved.charts if c.essential}
+    assert set(moved_essential) == set(essential)
+    for center, chart in essential.items():
+        assert moved_essential[center].minimal_generators == tuple(
+            sorted(mul(U, g) for g in chart.minimal_generators))
+        assert moved_essential[center].smooth == chart.smooth
+    assert moved.all_smooth == base.all_smooth

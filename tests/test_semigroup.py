@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import SURFACE, exhaustive_member
-from toricnash.lattice_geometry import zspan_is_full
+from toricnash.lattice_geometry import origin_certificate, zspan_is_full
 from toricnash.minors import nonzero_minor_exponents
 from toricnash.monomial_jacobian import build_coeff_matrix
 from toricnash.pipeline import nash_step
@@ -157,6 +158,21 @@ def test_chart_generators_span_the_lattice(n):
     # generators do too; no per-chart check is needed in the pipeline.
     for chart in nash_step(SURFACE, n).charts:
         assert zspan_is_full(chart.generators)
+
+
+@pytest.mark.parametrize("n, skipped", [(1, 3), (2, 59)])
+def test_skipped_charts_hold_a_zero_sum_pair(n, skipped):
+    # Every non-essential chart of the reference surface holds g and -g,
+    # and the certificate is exactly that pair, found without an LP.
+    charts = [c for c in nash_step(SURFACE, n).charts if not c.essential]
+    assert len(charts) == skipped
+    for chart in charts:
+        kind, cert = origin_certificate(chart.generators)
+        assert kind == "inside"
+        support = [g for g, l in zip(chart.generators, cert) if l]
+        assert [l for l in cert if l] == [Fraction(1, 2)] * 2
+        g, h = support
+        assert h == tuple(-v for v in g)
 
 
 def test_analyze_chart_non_essential():
