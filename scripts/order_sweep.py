@@ -1,9 +1,9 @@
 """Order sweep for the xy = z^4 surface, A = {(1,0),(-1,4),(0,1)}.
 
 Tracks how |S|, the essential chart count, and the worst chart
-(most minimal generators) evolve as the order grows.  The search space
-is C(M, D) subsets, so orders beyond 3 get expensive quickly; the node
-budget keeps a sweep honest instead of hanging.
+(most minimal generators) evolve as the order grows.  The minor search
+scans C(M, D) row subsets, so orders beyond 3 get expensive quickly; a
+step whose C(M, D) exceeds the node budget stops before it scans.
 
 Usage: python3 scripts/order_sweep.py [max_order] [budget_nodes]
 """
@@ -28,8 +28,8 @@ def main():
         cfg = StepConfig(mode="pruned", budget_nodes=budget)
         try:
             step = nash_step(A, n, cfg)
-        except BudgetExceeded:
-            print("%5d  budget of %d nodes exhausted, stopping" % (n, budget))
+        except BudgetExceeded as e:
+            print("%5d  %s, stopping" % (n, e))
             break
         essential = [c for c in step.charts if c.essential]
         worst = max(len(c.minimal_generators) for c in essential)

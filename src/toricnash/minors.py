@@ -3,19 +3,24 @@
 Each D-row subset J with det != 0 contributes the exponent
 A*beta_1 + ... + A*beta_D; after subtracting the global shift
 sigma_n = sum of all alpha in Lambda_{d,n} this is the canonical form in
-which chart centers are reported.  Two search modes exist: a naive scan
-over all C(M, D) subsets and a DFS that grows an exact row-echelon basis
-and abandons dependent or too-short branches.  They must agree.
+which chart centers are reported.  One scan visits the C(M, D) row
+subsets in lex order and keeps the first witness of each exponent.  Mode
+"pruned" skips, without a determinant, the subsets that the matrix's
+triangular structure by degree makes singular; mode "naive" evaluates
+every subset and is the reference the tests compare against.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import combinations
+from math import comb
+from operator import lt
 
 from .multiindex import enumerate_lambda
 
 
 class BudgetExceeded(Exception):
-    """The subset search hit its node ceiling before finishing."""
+    """The minor search needs more row subsets than its node ceiling."""
 
 
 def det_exact(mat):
@@ -80,40 +85,40 @@ def _row_sums(L):
     return [L.A.apply(beta) for beta in L.row_index]
 
 
-def _reduce_against(row, basis):
-    """Reduce a row against an echelon basis; return (pivot, row) or None."""
-    row = list(row)
-    for piv, base in basis:
-        f = row[piv]
-        if f:
-            g = Fraction(f, base[piv])
-            for j in range(piv, len(row)):
-                row[j] -= g * base[j]
-    for j, v in enumerate(row):
-        if v:
-            return j, row
-    return None
-
-
 def nonzero_minor_exponents(L, mode="pruned", budget_nodes=None, stats=None):
     """The set S of canonical exponents of non-vanishing maximal minors.
 
-    mode "naive" evaluates a determinant per subset; mode "pruned" walks
-    rows in grlex order keeping an exact partial echelon basis so that
-    dependent choices and unfinishable branches are cut early.
-    budget_nodes caps determinants (naive) or search nodes (pruned).
+    Both modes scan the C(M, D) row subsets in lex order, so each exponent
+    keeps its lex-first witness.  Mode "naive" evaluates a determinant per
+    subset; mode "pruned" first drops subsets that are singular by degree
+    alone.  budget_nodes caps C(M, D) and is checked before the scan.
     """
     if mode not in ("naive", "pruned"):
         raise ValueError("unknown mode %r" % (mode,))
-    scaled = L.scaled_entries()
     M, D = L.shape
     if M < D:
         raise ValueError("degenerate input: %d rows but %d columns" % (M, D))
+    nodes = comb(M, D)
+    if budget_nodes is not None and nodes > budget_nodes:
+        raise BudgetExceeded("minor search needs C(%d, %d) = %d row subsets, "
+                             "budget %d" % (M, D, nodes, budget_nodes))
+    scaled = L.scaled_entries()
     row_sums = _row_sums(L)
     sigma = sigma_shift(L.A.d, L.order)
+    # c_{beta,alpha} = 0 when |alpha| < |beta|, and rows and columns are
+    # sorted by degree.  If the i-th chosen row has a higher degree than
+    # column i, the last D - i rows vanish on the first i + 1 columns and
+    # the minor is 0.  bound[i] counts the rows of degree <= deg(column i),
+    # so mode "pruned" skips any subset with rows[i] >= bound[i].
+    row_deg = [sum(beta) for beta in L.row_index]
+    bound = [bisect_right(row_deg, sum(alpha)) for alpha in L.col_index]
+    pruned = mode == "pruned"
     found = {}
-
-    def record(rows):
+    for rows in combinations(range(M), D):
+        if pruned and not all(map(lt, rows, bound)):
+            continue
+        if det_exact([scaled[r] for r in rows]) == 0:
+            continue
         m = [0] * L.A.d
         for r in rows:
             for i, v in enumerate(row_sums[r]):
@@ -122,44 +127,8 @@ def nonzero_minor_exponents(L, mode="pruned", budget_nodes=None, stats=None):
         if key not in found:
             found[key] = tuple(L.row_index[r] for r in rows)
 
-    counter = {"nodes": 0}
-
-    def tick():
-        counter["nodes"] += 1
-        if budget_nodes is not None and counter["nodes"] > budget_nodes:
-            raise BudgetExceeded("search exceeded %d nodes" % budget_nodes)
-
-    if mode == "naive":
-        from itertools import combinations
-        for rows in combinations(range(M), D):
-            tick()
-            if det_exact([scaled[r] for r in rows]) != 0:
-                record(rows)
-    else:
-        frac_rows = [[Fraction(v) for v in row] for row in scaled]
-        basis = []
-        chosen = []
-
-        def dfs(i):
-            tick()
-            if len(chosen) == D:
-                record(chosen)
-                return
-            if M - i < D - len(chosen):
-                return
-            red = _reduce_against(frac_rows[i], basis)
-            if red is not None:
-                basis.append(red)
-                chosen.append(i)
-                dfs(i + 1)
-                chosen.pop()
-                basis.pop()
-            dfs(i + 1)
-
-        dfs(0)
-
     if stats is not None:
-        stats["nodes"] = counter["nodes"]
+        stats["nodes"] = nodes
         stats["mode"] = mode
     exps = tuple(sorted(found))
     return ExponentSet(order=L.order, shift=sigma, exponents=exps,

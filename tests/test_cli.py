@@ -1,5 +1,6 @@
 import io
 import json
+from math import comb
 
 import pytest
 
@@ -139,6 +140,22 @@ def test_budget_exhausted_exit_code(surface_input):
                         "--budget-nodes", "5"])
     assert code == 1
     assert "budget" in err.lower()
+
+
+def test_oversized_minor_search_stops_before_scanning(tmp_path,
+                                                      surface_input):
+    # The budget is checked on C(M, D) alone, so even M = 1715 rows stop
+    # with one line before any subset is scanned.
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(
+        {"d": 2, "generators": [[1, k] for k in range(6)] + [[2, 11]]}))
+    for argv, M, D in [(["--input", str(path), "--order", "6"], 1715, 27),
+                       (["--input", surface_input, "--order", "3"], 34, 9)]:
+        code, out, err = run(["step"] + argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("budget exhausted: minor search needs C(%d, %d) = %d "
+                       "row subsets, budget 5000000\n" % (M, D, comb(M, D)))
 
 
 def test_unknown_flag(surface_input):

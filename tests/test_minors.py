@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import (S1_EXPECTED, S2_EXPECTED, SURFACE, det_cofactor,
                       det_gauss, jet_exponent_oracle, rank_rational)
+from toricnash import minors
 from toricnash.minors import (BudgetExceeded, det_exact,
                               nonzero_minor_exponents, sigma_shift)
 from toricnash.monomial_jacobian import GeneratorMatrix, build_coeff_matrix
@@ -104,6 +107,40 @@ def test_pruned_equals_naive():
         a = nonzero_minor_exponents(L, mode="pruned")
         b = nonzero_minor_exponents(L, mode="naive")
         assert a.exponents == b.exponents
+        assert a.witnesses == b.witnesses
+
+
+def _evaluated_minors(L, mode, monkeypatch):
+    """The submatrices whose determinant the search evaluates, with counts."""
+    seen = Counter()
+
+    def recording(mat):
+        seen[tuple(map(tuple, mat))] += 1
+        return det_exact(mat)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(minors, "det_exact", recording)
+        nonzero_minor_exponents(L, mode=mode)
+    return seen
+
+
+@pytest.mark.parametrize("cols, n, some_skipped", [
+    (SURFACE.columns, 2, True),
+    (((1, 0), (-1, 4), (0, 1)), 2, True),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 1, False),
+    (tuple((1, i) for i in range(7)), 1, False),
+])
+def test_degree_filter_skips_only_singular_subsets(cols, n, some_skipped,
+                                                   monkeypatch):
+    L = build_coeff_matrix(GeneratorMatrix(columns=cols), n)
+    every = _evaluated_minors(L, "naive", monkeypatch)
+    kept = _evaluated_minors(L, "pruned", monkeypatch)
+    assert sum(every.values()) == comb(*L.shape)
+    skipped = every - kept
+    assert sum(kept.values()) + sum(skipped.values()) == comb(*L.shape)
+    assert bool(skipped) == some_skipped
+    for mat in skipped:
+        assert det_cofactor([list(row) for row in mat]) == 0
 
 
 def test_budget_exceeded():
@@ -112,6 +149,25 @@ def test_budget_exceeded():
         nonzero_minor_exponents(L, mode="naive", budget_nodes=10)
     with pytest.raises(BudgetExceeded):
         nonzero_minor_exponents(L, mode="pruned", budget_nodes=10)
+
+
+@pytest.mark.parametrize("mode", ["pruned", "naive"])
+def test_budget_checked_before_any_determinant(mode, monkeypatch):
+    L = build_coeff_matrix(SURFACE, 2)  # C(14, 5) = 2002 row subsets
+    calls = []
+    monkeypatch.setattr(minors, "det_exact", lambda mat: calls.append(mat))
+    with pytest.raises(BudgetExceeded, match=r"C\(14, 5\) = 2002 .* 2001"):
+        nonzero_minor_exponents(L, mode=mode, budget_nodes=2001)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["pruned", "naive"])
+def test_budget_equal_to_subset_count_suffices(mode):
+    L = build_coeff_matrix(SURFACE, 2)
+    stats = {}
+    S = nonzero_minor_exponents(L, mode=mode, budget_nodes=2002, stats=stats)
+    assert S.exponents == S2_EXPECTED
+    assert stats == {"nodes": 2002, "mode": mode}
 
 
 def test_degenerate_matrix_rejected():
