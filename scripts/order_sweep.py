@@ -1,15 +1,15 @@
 """Order sweep for the xy = z^4 surface, A = {(1,0),(-1,4),(0,1)}.
 
 Tracks how |S|, the essential chart count, and the worst chart
-(most minimal generators) evolve as the order grows.  The minor search
-scans C(M, D) row subsets, so orders beyond 3 get expensive quickly; a
-step whose C(M, D) exceeds the node budget stops before it scans.
+(most minimal generators) evolve as the order grows.  The "nodes"
+column counts the determinants the minor search takes: evaluation
+points, or row subsets where those are fewer.  A step that needs more
+nodes than the budget stops before its matrix is built.
 
 Usage: python3 scripts/order_sweep.py [max_order] [budget_nodes]
 """
 
 import sys
-from math import comb
 
 from toricnash.minors import BudgetExceeded
 from toricnash.monomial_jacobian import GeneratorMatrix
@@ -20,21 +20,21 @@ A = GeneratorMatrix(columns=((1, 0), (-1, 4), (0, 1)))
 
 def main():
     max_order = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    budget = int(sys.argv[2]) if len(sys.argv) > 2 else 5_000_000
+    budget = (int(sys.argv[2]) if len(sys.argv) > 2
+              else StepConfig.budget_nodes)
     print("A =", " ".join(map(str, A.columns)))
     print("%5s %8s %8s %6s %10s %7s %8s  %s"
-          % ("n", "M", "C(M,D)", "|S|", "essential", "worst", "time", ""))
+          % ("n", "M", "nodes", "|S|", "essential", "worst", "time", ""))
     for n in range(1, max_order + 1):
-        cfg = StepConfig(mode="pruned", budget_nodes=budget)
         try:
-            step = nash_step(A, n, cfg)
+            step = nash_step(A, n, StepConfig(budget_nodes=budget))
         except BudgetExceeded as e:
             print("%5d  %s, stopping" % (n, e))
             break
         essential = [c for c in step.charts if c.essential]
         worst = max(len(c.minimal_generators) for c in essential)
         print("%5d %8d %8d %6d %10d %7d %7.2fs  %s"
-              % (n, step.m_rows, comb(step.m_rows, step.d_cols),
+              % (n, step.m_rows, step.search_nodes,
                  len(step.exponents), len(essential), worst, step.elapsed,
                  "smooth" if step.all_smooth else "singular"))
 

@@ -1,5 +1,6 @@
 """Walk the reference surface A = {(1,0),(1,1),(1,2),(2,5)} through
-orders 1 and 2 and print every chart with its certificate data.
+orders 1 to max_order (default 2; at 3 it resolves) and print every
+chart with its certificate data.
 
 Usage: python3 scripts/surface_demo.py [max_order]
 """
@@ -8,7 +9,7 @@ import sys
 
 from toricnash.lattice_geometry import positive_functional
 from toricnash.monomial_jacobian import GeneratorMatrix
-from toricnash.pipeline import StepConfig, nash_step
+from toricnash.pipeline import nash_step
 
 A = GeneratorMatrix(columns=((1, 0), (1, 1), (1, 2), (2, 5)))
 
@@ -16,7 +17,7 @@ A = GeneratorMatrix(columns=((1, 0), (1, 1), (1, 2), (2, 5)))
 def main():
     max_order = int(sys.argv[1]) if len(sys.argv) > 1 else 2
     for n in range(1, max_order + 1):
-        step = nash_step(A, n, StepConfig(mode="pruned"))
+        step = nash_step(A, n)
         print("== order %d: %dx%d matrix, |S| = %d, %d search nodes "
               "(%.3fs) ==" % (n, step.m_rows, step.d_cols,
                               len(step.exponents), step.search_nodes,

@@ -15,7 +15,8 @@ import argparse
 import json
 import sys
 
-from .minors import BudgetExceeded, nonzero_minor_exponents
+from .minors import (DEFAULT_BUDGET, BudgetExceeded, check_budget,
+                     nonzero_minor_exponents)
 from .monomial_jacobian import GeneratorMatrix, build_coeff_matrix
 from .pipeline import (InputError, StepConfig, nash_step, resolve,
                        resolution_report_to_dict, step_report_to_dict)
@@ -97,8 +98,7 @@ def cmd_step(args, out):
     A = load_input(args.input)
     step = nash_step(A, args.order, _config(args))
     if args.emit == "json":
-        json.dump(step_report_to_dict(step), out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(step_report_to_dict(step)) + "\n")
     else:
         _print_step(step, args.exponent_form, out)
     return EXIT_OK
@@ -108,8 +108,7 @@ def cmd_resolve(args, out):
     A = load_input(args.input)
     report = resolve(A, args.max_order, _config(args))
     if args.emit == "json":
-        json.dump(resolution_report_to_dict(report), out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(resolution_report_to_dict(report)) + "\n")
     else:
         for step in report.steps:
             _print_step(step, args.exponent_form, out)
@@ -135,8 +134,7 @@ def cmd_matrix(args, out):
             "exponents": [[list(L.exponent(b, a)) for a in L.col_index]
                           for b in L.row_index],
         }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(doc) + "\n")
     else:
         print("coefficient matrix, order %d (%d x %d)"
               % (L.order, *L.shape), file=out)
@@ -150,16 +148,15 @@ def cmd_matrix(args, out):
 
 def cmd_minors(args, out):
     A = load_input(args.input)
+    plan = check_budget(A, args.order, args.mode, args.budget_nodes)
     L = build_coeff_matrix(A, args.order)
-    S = nonzero_minor_exponents(L, mode=args.mode,
-                                budget_nodes=args.budget_nodes)
+    S = nonzero_minor_exponents(L, mode=args.mode, plan=plan)
     exps = S.exponents if args.exponent_form == "canonical" else S.raw()
     if args.emit == "json":
         doc = {"order": S.order, "shift": list(S.shift),
                "form": args.exponent_form,
                "exponents": [list(e) for e in exps]}
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(doc) + "\n")
     else:
         print("S, order %d, %d exponents (%s form)"
               % (S.order, len(exps), args.exponent_form), file=out)
@@ -183,7 +180,9 @@ def build_parser():
         p.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored; chart analysis is "
                             "single-threaded")
-        p.add_argument("--budget-nodes", type=int, default=5_000_000)
+        p.add_argument("--budget-nodes", type=int,
+                       help="default: %(naive)d in naive mode, "
+                            "%(pruned)d otherwise" % DEFAULT_BUDGET)
 
     p = sub.add_parser("step", help="run a single order")
     common(p)

@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import lattice_geometry, semigroup
-from .minors import BudgetExceeded, nonzero_minor_exponents
+from .minors import BudgetExceeded, check_budget, nonzero_minor_exponents
 from .monomial_jacobian import build_coeff_matrix
 
 __all__ = ["InputError", "BudgetExceeded", "StepConfig", "StepReport",
@@ -24,7 +24,7 @@ class InputError(Exception):
 @dataclass(frozen=True)
 class StepConfig:
     mode: str = "pruned"
-    budget_nodes: int = 5_000_000
+    budget_nodes: int | None = None   # None: minors.DEFAULT_BUDGET[mode]
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ def nash_step(A, n, config=StepConfig()):
     """Run a single order-n step: minors, exponent set, chart analysis."""
     validate_input(A)
     t0 = time.perf_counter()
+    plan = check_budget(A, n, config.mode, config.budget_nodes)
     L = build_coeff_matrix(A, n)
     stats = {}
-    S = nonzero_minor_exponents(L, mode=config.mode,
-                                budget_nodes=config.budget_nodes, stats=stats)
+    S = nonzero_minor_exponents(L, mode=config.mode, stats=stats, plan=plan)
     charts = tuple(semigroup.analyze_chart(A, S, m0) for m0 in S.exponents)
     essential = [c for c in charts if c.essential]
     return StepReport(

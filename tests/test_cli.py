@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from toricnash import monomial_jacobian
 from toricnash.cli import main
 from toricnash.pipeline import resolution_report_from_dict
 
@@ -142,20 +143,43 @@ def test_budget_exhausted_exit_code(surface_input):
     assert "budget" in err.lower()
 
 
-def test_oversized_minor_search_stops_before_scanning(tmp_path,
-                                                      surface_input):
-    # The budget is checked on C(M, D) alone, so even M = 1715 rows stop
-    # with one line before any subset is scanned.
+def test_oversized_minor_search_stops_before_scanning(tmp_path, surface_input,
+                                                      monkeypatch):
+    # The budget is checked on the row weights alone, so even M = 1715 rows
+    # stop with one line before a single matrix entry is computed.
     path = tmp_path / "tall.json"
     path.write_text(json.dumps(
         {"d": 2, "generators": [[1, k] for k in range(6)] + [[2, 11]]}))
-    for argv, M, D in [(["--input", str(path), "--order", "6"], 1715, 27),
-                       (["--input", surface_input, "--order", "3"], 34, 9)]:
-        code, out, err = run(["step"] + argv)
-        assert code == 1
-        assert out == ""
-        assert err == ("budget exhausted: minor search needs C(%d, %d) = %d "
-                       "row subsets, budget 5000000\n" % (M, D, comb(M, D)))
+    calls = []
+    c_coeff = monomial_jacobian.c_coeff
+    monkeypatch.setattr(monomial_jacobian, "c_coeff",
+                        lambda *a: calls.append(a) or c_coeff(*a))
+    needs = {"pruned": "up to 199584 evaluation points (box 231 x 864)",
+             "naive": "C(1715, 27) = %d row subsets" % comb(1715, 27)}
+    budgets = {"pruned": 50000, "naive": 5000000}
+    for command in ("step", "minors"):
+        for mode, what in needs.items():
+            code, out, err = run([command, "--input", str(path), "--order",
+                                  "6", "--mode", mode])
+            assert (code, out, calls) == (1, "", [])
+            assert err == ("budget exhausted: minor search needs %s, "
+                           "budget %d\n" % (what, budgets[mode]))
+    # C(34, 9) = 52,451,256 row subsets, but only 448 evaluation points.
+    code, out, err = run(["step", "--input", surface_input, "--order", "3"])
+    assert (code, err) == (0, "")
+    assert "|S| = 370" in out
+    assert "order 3 verdict: smooth (4 essential charts)" in out
+
+
+@pytest.mark.parametrize("command", ["step", "resolve", "minors", "matrix"])
+def test_json_is_written_on_one_line(command, surface_input):
+    order = "--max-order" if command == "resolve" else "--order"
+    _, out, _ = run([command, "--input", surface_input, order, "2",
+                     "--emit", "json"])
+    assert out.endswith("}\n") and out.count("\n") == 1
+    json.loads(out)
+    # default separators, so a reported time reads '"elapsed": <digits>'
+    assert ('"elapsed": ' in out) == (command in ("step", "resolve"))
 
 
 def test_unknown_flag(surface_input):

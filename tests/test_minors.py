@@ -1,9 +1,9 @@
 import random
-from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (S1_EXPECTED, S2_EXPECTED, SURFACE, det_cofactor,
                       det_gauss, jet_exponent_oracle, rank_rational)
@@ -110,37 +110,96 @@ def test_pruned_equals_naive():
         assert a.witnesses == b.witnesses
 
 
-def _evaluated_minors(L, mode, monkeypatch):
-    """The submatrices whose determinant the search evaluates, with counts."""
-    seen = Counter()
+@st.composite
+def small_inputs(draw):
+    """(A, n) with d <= 4, n <= 2 (n = 1 at d = 4), s >= d and
+    C(M, D) <= 2002; columns may repeat, vanish or fail to span, so C may
+    have rank < D."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2 if d < 4 else 1))
+    s = draw(st.integers(d, 4 if n == 2 and d > 1 else 6))
+    cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                         min_size=s, max_size=s))
+    return GeneratorMatrix(columns=tuple(cols)), n
 
-    def recording(mat):
-        seen[tuple(map(tuple, mat))] += 1
-        return det_exact(mat)
 
-    with monkeypatch.context() as mp:
-        mp.setattr(minors, "det_exact", recording)
-        nonzero_minor_exponents(L, mode=mode)
-    return seen
+def interpolated(L):
+    """S by the interpolation alone, whichever search the plan picks."""
+    weights = [L.A.apply(beta) for beta in L.row_index]
+    U, widths = minors._reduction(weights, L.shape[1])
+    assert len(U) == L.A.d and abs(det_exact(U)) == 1
+    stats = {}
+    S = nonzero_minor_exponents(L, stats=stats, plan=("interpolate", U))
+    assert 0 < stats["nodes"] <= prod(widths) or not S.exponents
+    return S.exponents
 
 
-@pytest.mark.parametrize("cols, n, some_skipped", [
-    (SURFACE.columns, 2, True),
-    (((1, 0), (-1, 4), (0, 1)), 2, True),
-    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 1, False),
-    (tuple((1, i) for i in range(7)), 1, False),
-])
-def test_degree_filter_skips_only_singular_subsets(cols, n, some_skipped,
-                                                   monkeypatch):
-    L = build_coeff_matrix(GeneratorMatrix(columns=cols), n)
-    every = _evaluated_minors(L, "naive", monkeypatch)
-    kept = _evaluated_minors(L, "pruned", monkeypatch)
-    assert sum(every.values()) == comb(*L.shape)
-    skipped = every - kept
-    assert sum(kept.values()) + sum(skipped.values()) == comb(*L.shape)
-    assert bool(skipped) == some_skipped
-    for mat in skipped:
-        assert det_cofactor([list(row) for row in mat]) == 0
+@settings(max_examples=80, deadline=None)
+@given(small_inputs())
+def test_default_search_equals_naive(case):
+    A, n = case
+    L = build_coeff_matrix(A, n)
+    assert comb(*L.shape) <= 2002
+    naive = nonzero_minor_exponents(L, mode="naive").exponents
+    stats = {}
+    assert nonzero_minor_exponents(L, stats=stats).exponents == naive
+    assert stats["nodes"] <= comb(*L.shape)
+    if A.d < 4:                       # small loose boxes only
+        assert interpolated(L) == naive
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interpolation_in_four_dimensions(n):
+    # cone(e1, ..., e4, e1 + ... + e4); at n = 2, C is 20 x 14 and the
+    # naive scan takes C(20, 14) = 38,760 determinants.
+    A = GeneratorMatrix(columns=tuple(
+        tuple(int(i == j) for j in range(4)) for i in range(4))
+        + ((1, 1, 1, 1),))
+    L = build_coeff_matrix(A, n)
+    S = interpolated(L)
+    assert S == nonzero_minor_exponents(L, mode="naive").exponents
+    assert len(S) == {1: 5, 2: 499}[n]
+
+
+def test_few_rows_with_large_coordinates_are_scanned():
+    # The loose box is 301 x 301 = 90,601 points, but C(4, 2) = 6 row
+    # subsets: the default search scans them.
+    A = GeneratorMatrix(columns=((1, 0), (0, 1), (1, 300), (300, 1)))
+    assert minors.check_budget(A, 1, "pruned", None) == ("scan", None)
+    L = build_coeff_matrix(A, 1)
+    stats = {}
+    S = nonzero_minor_exponents(L, stats=stats)
+    assert stats == {"nodes": 6, "mode": "pruned"}
+    assert S.exponents == nonzero_minor_exponents(L, mode="naive").exponents
+
+
+def test_witnesses_are_read_lazily(monkeypatch):
+    L = build_coeff_matrix(SURFACE, 2)
+    scans = []
+    scan = minors._scan
+    monkeypatch.setattr(minors, "_scan",
+                        lambda *a: scans.append(a) or scan(*a))
+    S = nonzero_minor_exponents(L)
+    assert scans == []
+    witnesses = S.witnesses
+    assert len(scans) == 1
+    assert S.witnesses is witnesses and len(scans) == 1
+    assert list(witnesses) == list(S2_EXPECTED)
+    assert S.members == frozenset(S2_EXPECTED)
+    assert [3, 8] in S and (3, 9) not in S
+
+
+@pytest.mark.parametrize("modulus, bound", [
+    (1, 1), (6, 10 ** 6), (16 * 44, 2 ** 40), (27 * 16, 3 ** 20), (35, 7)])
+def test_proved_prime(modulus, bound):
+    p = minors._proved_prime(modulus, bound)
+    assert p > bound and (p - 1) % modulus == 0
+    two = (p - 1) & -(p - 1)          # the power of two in p - 1
+    assert two * two > p
+    assert all(p % q for q in range(2, min(p, 10 ** 6)))
+    w = minors._root_of_unity(modulus, p)
+    assert pow(w, modulus, p) == 1
+    assert all(pow(w, k, p) != 1 for k in range(1, modulus))
 
 
 def test_budget_exceeded():
@@ -151,23 +210,35 @@ def test_budget_exceeded():
         nonzero_minor_exponents(L, mode="pruned", budget_nodes=10)
 
 
+# Surface n=2: C(14, 5) = 2002 row subsets; the loose reduced box is
+# 9 x 16 = 144 points, of which the exact box holds 6 x 13 = 78.
+NODES = {"naive": (2002, r"C\(14, 5\) = 2002 row subsets", 2002),
+         "pruned": (144, r"up to 144 evaluation points \(box 9 x 16\)", 78)}
+
+
 @pytest.mark.parametrize("mode", ["pruned", "naive"])
 def test_budget_checked_before_any_determinant(mode, monkeypatch):
-    L = build_coeff_matrix(SURFACE, 2)  # C(14, 5) = 2002 row subsets
+    L = build_coeff_matrix(SURFACE, 2)
+    bound, message, _ = NODES[mode]
+    # Neither search starts: no minor of C is taken, no point evaluated.
     calls = []
-    monkeypatch.setattr(minors, "det_exact", lambda mat: calls.append(mat))
-    with pytest.raises(BudgetExceeded, match=r"C\(14, 5\) = 2002 .* 2001"):
-        nonzero_minor_exponents(L, mode=mode, budget_nodes=2001)
+    for search in ("_support", "_scan"):
+        monkeypatch.setattr(minors, search, lambda *a: calls.append(a))
+    with pytest.raises(BudgetExceeded,
+                       match="%s, budget %d$" % (message, bound - 1)):
+        nonzero_minor_exponents(L, mode=mode, budget_nodes=bound - 1)
     assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["pruned", "naive"])
 def test_budget_equal_to_subset_count_suffices(mode):
     L = build_coeff_matrix(SURFACE, 2)
+    bound, _, nodes = NODES[mode]
     stats = {}
-    S = nonzero_minor_exponents(L, mode=mode, budget_nodes=2002, stats=stats)
+    S = nonzero_minor_exponents(L, mode=mode, budget_nodes=bound,
+                                stats=stats)
     assert S.exponents == S2_EXPECTED
-    assert stats == {"nodes": 2002, "mode": mode}
+    assert stats == {"nodes": nodes, "mode": mode}
 
 
 def test_degenerate_matrix_rejected():

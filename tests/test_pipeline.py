@@ -5,7 +5,8 @@ from itertools import combinations
 import pytest
 
 from conftest import S1_EXPECTED, S2_EXPECTED, SURFACE, det_cofactor
-from toricnash.minors import sigma_shift
+from toricnash import pipeline
+from toricnash.minors import BudgetExceeded, check_budget, sigma_shift
 from toricnash.monomial_jacobian import GeneratorMatrix
 from toricnash.pipeline import (InputError, StepConfig, nash_step, resolve,
                                 resolution_report_from_dict,
@@ -93,6 +94,40 @@ def test_reference_surface_order_two():
     assert essential[(3, 8)].minimal_generators == ((0, -1), (1, 3), (2, 7))
     assert essential[(3, 8)].smooth is False
     assert not step.all_smooth
+
+
+def test_reference_surface_order_three():
+    # C(34, 9) = 52,451,256 row subsets; the search evaluates 448 points.
+    step = nash_step(SURFACE, 3)
+    assert (step.m_rows, step.d_cols) == (34, 9)
+    assert len(step.exponents) == 370
+    assert step.search_nodes == 448
+    essential = {c.center: c for c in step.charts if c.essential}
+    assert set(essential) == {(7, 0), (7, 20), (9, 28), (18, 55)}
+    assert all(len(c.minimal_generators) == 2 for c in essential.values())
+    assert step.all_smooth
+
+
+@pytest.mark.parametrize("mode", ["pruned", "naive"])
+def test_budget_checked_before_the_matrix(mode, monkeypatch):
+    built = []
+    monkeypatch.setattr(pipeline, "build_coeff_matrix",
+                        lambda *a: built.append(a))
+    with pytest.raises(BudgetExceeded, match="budget 10$"):
+        nash_step(SURFACE, 2, StepConfig(mode=mode, budget_nodes=10))
+    assert built == []
+
+
+def test_default_budget_depends_on_the_mode():
+    # The A6 cone at n = 2: C(35, 5) = 324,632 row subsets, within the
+    # naive default of 5,000,000, while the default search interpolates.
+    # At n = 3 the naive scan would take C(119, 9) determinants.
+    A6 = GeneratorMatrix(columns=tuple((1, k) for k in range(7)))
+    assert StepConfig().budget_nodes is None
+    assert check_budget(A6, 2, "naive", None) == ("scan", None)
+    assert check_budget(A6, 2, "pruned", None)[0] == "interpolate"
+    with pytest.raises(BudgetExceeded, match="budget 5000000$"):
+        check_budget(A6, 3, "naive", None)
 
 
 def test_resolve_smooth_plane():

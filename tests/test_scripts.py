@@ -29,7 +29,7 @@ def test_order_sweep_order_two():
     rows = {int(line.split()[0]): line.split()
             for line in run_script("order_sweep.py", "2")[2:]}
     assert sorted(rows) == [1, 2]
-    # columns: n, M, C(M,D), |S|, essential, worst, time, verdict
+    # columns: n, M, nodes, |S|, essential, worst, time, verdict
     assert rows[2][3] == "27"
     assert rows[2][4] == "4"
     assert rows[2][-1] == "singular"
