@@ -18,8 +18,8 @@ import sys
 from .minors import (DEFAULT_BUDGET, BudgetExceeded, check_budget,
                      nonzero_minor_exponents)
 from .monomial_jacobian import GeneratorMatrix, build_coeff_matrix
-from .pipeline import (InputError, StepConfig, nash_step, resolve,
-                       resolution_report_to_dict, step_report_to_dict)
+from .pipeline import (InputError, StepConfig, nash_step, report_to_json,
+                       resolve)
 
 EXIT_OK = 0
 EXIT_BUDGET = 1
@@ -98,24 +98,32 @@ def cmd_step(args, out):
     A = load_input(args.input)
     step = nash_step(A, args.order, _config(args))
     if args.emit == "json":
-        out.write(json.dumps(step_report_to_dict(step)) + "\n")
+        out.write(report_to_json(step) + "\n")
     else:
         _print_step(step, args.exponent_form, out)
     return EXIT_OK
 
 
+def _write_resolution(report, args, out):
+    if args.emit == "json":
+        out.write(report_to_json(report) + "\n")
+        return
+    for step in report.steps:
+        _print_step(step, args.exponent_form, out)
+    if report.verdict == "smooth_at_order":
+        print("smooth at order %d" % report.order, file=out)
+    else:
+        print("no smooth order found up to %d" % report.order, file=out)
+
+
 def cmd_resolve(args, out):
     A = load_input(args.input)
-    report = resolve(A, args.max_order, _config(args))
-    if args.emit == "json":
-        out.write(json.dumps(resolution_report_to_dict(report)) + "\n")
-    else:
-        for step in report.steps:
-            _print_step(step, args.exponent_form, out)
-        if report.verdict == "smooth_at_order":
-            print("smooth at order %d" % report.order, file=out)
-        else:
-            print("no smooth order found up to %d" % report.order, file=out)
+    try:
+        report = resolve(A, args.max_order, _config(args))
+    except BudgetExceeded as e:
+        _write_resolution(e.report, args, out)
+        raise
+    _write_resolution(report, args, out)
     if report.verdict != "smooth_at_order":
         return EXIT_BUDGET
     return EXIT_OK
@@ -177,9 +185,6 @@ def build_parser():
         p.add_argument("--exponent-form", choices=("canonical", "raw"),
                        default="canonical")
         p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored; chart analysis is "
-                            "single-threaded")
         p.add_argument("--budget-nodes", type=int,
                        help="default: %(naive)d in naive mode, "
                             "%(pruned)d otherwise" % DEFAULT_BUDGET)

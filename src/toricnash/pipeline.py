@@ -4,6 +4,7 @@ Each step starts again from the original generator matrix with the order
 raised by one; the algorithm never recurses into charts.
 """
 
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -12,9 +13,8 @@ from .minors import BudgetExceeded, check_budget, nonzero_minor_exponents
 from .monomial_jacobian import build_coeff_matrix
 
 __all__ = ["InputError", "BudgetExceeded", "StepConfig", "StepReport",
-           "ResolutionReport", "nash_step", "resolve",
-           "step_report_to_dict", "step_report_from_dict",
-           "resolution_report_to_dict", "resolution_report_from_dict"]
+           "ResolutionReport", "nash_step", "resolve", "report_to_json",
+           "step_report_from_dict", "resolution_report_from_dict"]
 
 
 class InputError(Exception):
@@ -88,93 +88,54 @@ def nash_step(A, n, config=StepConfig()):
 
 
 def resolve(A, max_n, config=StepConfig()):
-    """Raise the order from 1 to max_n, stopping at the first smooth step."""
+    """Raise the order from 1 to max_n, stopping at the first smooth step.
+
+    When the budget refuses an order, the BudgetExceeded raised names that
+    order and carries, as .report, the steps finished before it.
+    """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     steps = []
+
+    def report(verdict, order):
+        return ResolutionReport(generators=A.columns, dimension=A.d,
+                                steps=tuple(steps), verdict=verdict,
+                                order=order)
+
     for n in range(1, max_n + 1):
-        step = nash_step(A, n, config)
+        try:
+            step = nash_step(A, n, config)
+        except BudgetExceeded as e:
+            stop = BudgetExceeded("order %d: %s" % (n, e))
+            stop.report = report("budget_exhausted", n - 1)
+            raise stop from e
         steps.append(step)
         if step.all_smooth:
-            return ResolutionReport(generators=A.columns, dimension=A.d,
-                                    steps=tuple(steps),
-                                    verdict="smooth_at_order", order=n)
-    return ResolutionReport(generators=A.columns, dimension=A.d,
-                            steps=tuple(steps),
-                            verdict="budget_exhausted", order=max_n)
+            return report("smooth_at_order", n)
+    return report("budget_exhausted", max_n)
 
 
-# --- JSON-friendly serialization -------------------------------------------
+# --- JSON serialization ----------------------------------------------------
 
-def _chart_to_dict(c):
-    return {
-        "center": list(c.center),
-        "generators": [list(g) for g in c.generators],
-        "essential": c.essential,
-        "minimal_generators": (None if c.minimal_generators is None
-                               else [list(g) for g in c.minimal_generators]),
-        "smooth": c.smooth,
-    }
+def report_to_json(r):
+    """One JSON object, keyed by the report's own fields in their order."""
+    return json.dumps(r, default=vars)
 
 
-def _chart_from_dict(d):
-    return semigroup.Chart(
-        center=tuple(d["center"]),
-        generators=tuple(tuple(g) for g in d["generators"]),
-        essential=d["essential"],
-        minimal_generators=(None if d["minimal_generators"] is None
-                            else tuple(tuple(g) for g in d["minimal_generators"])),
-        smooth=d["smooth"],
-    )
+def _tuples(v):
+    """JSON lists back to tuples, at every depth."""
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
 
 
-def step_report_to_dict(r):
-    return {
-        "order": r.order,
-        "m_rows": r.m_rows,
-        "d_cols": r.d_cols,
-        "shift": list(r.shift),
-        "exponents": [list(e) for e in r.exponents],
-        "charts": [_chart_to_dict(c) for c in r.charts],
-        "essential_count": r.essential_count,
-        "all_smooth": r.all_smooth,
-        "search_nodes": r.search_nodes,
-        "search_mode": r.search_mode,
-        "elapsed": r.elapsed,
-    }
+def _fields(d):
+    return {k: _tuples(v) for k, v in d.items()}
 
 
 def step_report_from_dict(d):
-    return StepReport(
-        order=d["order"],
-        m_rows=d["m_rows"],
-        d_cols=d["d_cols"],
-        shift=tuple(d["shift"]),
-        exponents=tuple(tuple(e) for e in d["exponents"]),
-        charts=tuple(_chart_from_dict(c) for c in d["charts"]),
-        essential_count=d["essential_count"],
-        all_smooth=d["all_smooth"],
-        search_nodes=d["search_nodes"],
-        search_mode=d["search_mode"],
-        elapsed=d["elapsed"],
-    )
-
-
-def resolution_report_to_dict(r):
-    return {
-        "generators": [list(g) for g in r.generators],
-        "dimension": r.dimension,
-        "steps": [step_report_to_dict(s) for s in r.steps],
-        "verdict": r.verdict,
-        "order": r.order,
-    }
+    charts = tuple(semigroup.Chart(**_fields(c)) for c in d["charts"])
+    return StepReport(**{**_fields(d), "charts": charts})
 
 
 def resolution_report_from_dict(d):
-    return ResolutionReport(
-        generators=tuple(tuple(g) for g in d["generators"]),
-        dimension=d["dimension"],
-        steps=tuple(step_report_from_dict(s) for s in d["steps"]),
-        verdict=d["verdict"],
-        order=d["order"],
-    )
+    steps = tuple(map(step_report_from_dict, d["steps"]))
+    return ResolutionReport(**{**_fields(d), "steps": steps})

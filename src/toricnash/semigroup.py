@@ -98,8 +98,11 @@ def minimal_generators(gens, w=None):
     """Unique inclusion-minimal generating subset of a pointed semigroup.
 
     w is a functional with w.g >= 1 on every generator; when None it is
-    computed.  Candidates are retried in decreasing w-weight order until
-    no element is an N-combination of the remaining ones.
+    computed.  One pass in increasing w-weight keeps each generator g
+    unless g - h is a generator for some kept h, or g is a member of the
+    kept set.  Every summand of a reducible g weighs at least 1, so g is a
+    sum of strictly lighter irreducibles, all kept before g is reached.  A
+    kept h of the same weight as g cannot help, since g - h would weigh 0.
     """
     gens = sorted({tuple(g) for g in gens})
     zero = (0,) * len(gens[0])
@@ -109,15 +112,13 @@ def minimal_generators(gens, w=None):
     if w is None:
         raise ValueError("generators are not essential; "
                          "minimal generating set is not unique")
-    keep = sorted(gens, key=lambda g: -_dot(w, g))
-    changed = True
-    while changed:
-        changed = False
-        for g in list(keep):
-            rest = [h for h in keep if h != g]
-            if rest and member(g, rest, w):
-                keep.remove(g)
-                changed = True
+    present = set(gens)
+    keep = []
+    for g in sorted(gens, key=lambda g: _dot(w, g)):
+        if any(tuple(a - b for a, b in zip(g, h)) in present for h in keep):
+            continue
+        if not member(g, keep, w):
+            keep.append(g)
     return tuple(sorted(keep))
 
 

@@ -70,6 +70,23 @@ def test_resolve_exhausted_returns_budget_code(surface_input):
     assert "no smooth order" in out
 
 
+def test_resolve_keeps_finished_orders_when_budget_refuses(surface_input):
+    # Order 1 needs fewer than 100 evaluation points, order 2 needs 144.
+    argv = ["resolve", "--input", surface_input, "--max-order", "3",
+            "--budget-nodes", "100"]
+    code, out, err = run(argv + ["--emit", "json"])
+    assert code == 1
+    assert err == ("budget exhausted: order 2: minor search needs up to 144 "
+                   "evaluation points (box 9 x 16), budget 100\n")
+    report = resolution_report_from_dict(json.loads(out))
+    assert [s.order for s in report.steps] == [1]
+    assert (report.verdict, report.order) == ("budget_exhausted", 1)
+    code, text, text_err = run(argv)
+    assert (code, text_err) == (1, err)
+    assert "order 1 verdict: singular" in text
+    assert text.endswith("no smooth order found up to 1\n")
+
+
 def test_matrix_command(tmp_path):
     path = tmp_path / "cusp.json"
     path.write_text(json.dumps({"d": 1, "generators": [[1], [2]]}))
@@ -186,17 +203,6 @@ def test_unknown_flag(surface_input):
     code, _, _ = run(["step", "--input", surface_input, "--order", "1",
                       "--bogus"])
     assert code == 2
-
-
-def test_threads_flag_same_output(surface_input):
-    # --threads is accepted and ignored: chart analysis is single-threaded.
-    _, out1, _ = run(["step", "--input", surface_input, "--order", "2",
-                      "--emit", "json"])
-    _, out4, _ = run(["step", "--input", surface_input, "--order", "2",
-                      "--emit", "json", "--threads", "4"])
-    d1, d4 = json.loads(out1), json.loads(out4)
-    d1.pop("elapsed"), d4.pop("elapsed")
-    assert d1 == d4
 
 
 def test_heavy_generator_step_has_no_recursion_limit(tmp_path):

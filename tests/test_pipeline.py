@@ -8,10 +8,9 @@ from conftest import S1_EXPECTED, S2_EXPECTED, SURFACE, det_cofactor
 from toricnash import pipeline
 from toricnash.minors import BudgetExceeded, check_budget, sigma_shift
 from toricnash.monomial_jacobian import GeneratorMatrix
-from toricnash.pipeline import (InputError, StepConfig, nash_step, resolve,
-                                resolution_report_from_dict,
-                                resolution_report_to_dict,
-                                step_report_from_dict, step_report_to_dict)
+from toricnash.pipeline import (InputError, StepConfig, nash_step,
+                                report_to_json, resolution_report_from_dict,
+                                resolve, step_report_from_dict)
 
 SMOOTH_PLANE = GeneratorMatrix(columns=((1, 0), (0, 1)))
 CONE3 = GeneratorMatrix(columns=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
@@ -174,13 +173,13 @@ def test_workload_formulas():
 
 def test_step_report_roundtrip():
     step = nash_step(SURFACE, 1)
-    blob = json.dumps(step_report_to_dict(step))
+    blob = report_to_json(step)
     assert step_report_from_dict(json.loads(blob)) == step
 
 
 def test_resolution_report_roundtrip():
     report = resolve(SURFACE, 2)
-    blob = json.dumps(resolution_report_to_dict(report))
+    blob = report_to_json(report)
     assert resolution_report_from_dict(json.loads(blob)) == report
 
 
