@@ -1,16 +1,3 @@
 """Exact combinatorial computation of higher Nash blowups of toric varieties."""
 
-from .jets import JetMatrix, Poly, compose_check, jet_jacobian, truncate_mul
-from .lattice_geometry import (contains_origin, origin_certificate,
-                               positive_functional, zspan_is_full)
-from .minors import (BudgetExceeded, ExponentSet, det_exact,
-                     nonzero_minor_exponents, sigma_shift)
-from .monomial_jacobian import (CoeffMatrix, GeneratorMatrix, b_coeff,
-                                build_coeff_matrix, c_coeff)
-from .multiindex import (enumerate_lambda, multi_binomial, multi_factorial)
-from .pipeline import (InputError, ResolutionReport, StepConfig, StepReport,
-                       nash_step, resolve)
-from .semigroup import (Chart, analyze_chart, chart_generators, member,
-                        member_certificate, minimal_generators)
-
 __version__ = "0.1.0"

@@ -80,12 +80,11 @@ def _print_chart(c, out):
              " ".join(str(tuple(g)) for g in c.minimal_generators)), file=out)
 
 
-def _print_step(step, form, out):
-    exps = step.exponents if form == "canonical" else [
-        tuple(a + b for a, b in zip(e, step.shift)) for e in step.exponents]
-    print("order %d: matrix %dx%d, |S| = %d (%s form)"
-          % (step.order, step.m_rows, step.d_cols, len(exps), form), file=out)
-    for line in _grouped_lines(exps):
+def _print_step(step, out):
+    print("order %d: matrix %dx%d, |S| = %d (canonical form)"
+          % (step.order, step.m_rows, step.d_cols, len(step.exponents)),
+          file=out)
+    for line in _grouped_lines(step.exponents):
         print(line, file=out)
     for c in step.charts:
         _print_chart(c, out)
@@ -100,7 +99,7 @@ def cmd_step(args, out):
     if args.emit == "json":
         out.write(report_to_json(step) + "\n")
     else:
-        _print_step(step, args.exponent_form, out)
+        _print_step(step, out)
     return EXIT_OK
 
 
@@ -109,7 +108,7 @@ def _write_resolution(report, args, out):
         out.write(report_to_json(report) + "\n")
         return
     for step in report.steps:
-        _print_step(step, args.exponent_form, out)
+        _print_step(step, out)
     if report.verdict == "smooth_at_order":
         print("smooth at order %d" % report.order, file=out)
     else:
@@ -179,11 +178,12 @@ def build_parser():
         description="Combinatorial higher Nash blowup of affine toric varieties")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, order="--order"):
         p.add_argument("--input", required=True, help="path to JSON input")
         p.add_argument("--emit", choices=("text", "json"), default="text")
-        p.add_argument("--exponent-form", choices=("canonical", "raw"),
-                       default="canonical")
+        p.add_argument(order, type=int, required=True)
+
+    def search(p):
         p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
         p.add_argument("--budget-nodes", type=int,
                        help="default: %(naive)d in naive mode, "
@@ -191,22 +191,23 @@ def build_parser():
 
     p = sub.add_parser("step", help="run a single order")
     common(p)
-    p.add_argument("--order", type=int, required=True)
+    search(p)
     p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("resolve", help="iterate orders until smooth")
-    common(p)
-    p.add_argument("--max-order", type=int, required=True)
+    common(p, "--max-order")
+    search(p)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("matrix", help="dump the coefficient matrix")
     common(p)
-    p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("minors", help="dump the exponent set S")
     common(p)
-    p.add_argument("--order", type=int, required=True)
+    search(p)
+    p.add_argument("--exponent-form", choices=("canonical", "raw"),
+                   default="canonical")
     p.set_defaults(func=cmd_minors)
     return parser
 

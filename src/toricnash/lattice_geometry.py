@@ -1,15 +1,14 @@
 """Exact convex geometry over Q and lattice span checks over Z.
 
 Whether the origin lies in the convex hull of a finite point set is
-decided exactly.  A set holding a pair p, -p contains it without any LP:
-0 = 1/2 p + 1/2 (-p), and p = 0 is the pair (0, 0).  Every other set goes
-to an exact phase-one simplex.  Both possible certificates are re-verified
-by substitution before being returned: a convex combination hitting 0, or
-an integer functional w with w.p >= 1 on every point (the Farkas dual).
+decided exactly, by one phase-one simplex over the rationals.  Both
+possible certificates are re-verified by substitution before being
+returned: a convex combination hitting 0, or an integer functional w with
+w.p >= 1 on every point (the Farkas dual).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def _phase_one(points):
@@ -105,21 +104,7 @@ def origin_certificate(points):
     d = len(points[0])
     if any(len(p) != d for p in points):
         raise ValueError("points of mixed dimension")
-    # Pair certificate: half on the first p whose negation is a point, half
-    # on that negation's first index.  For p = 0 both halves land on the
-    # first zero.
-    first = {}
-    for i, p in enumerate(points):
-        first.setdefault(p, i)
-    for i, p in enumerate(points):
-        j = first.get(tuple(-v for v in p))
-        if j is not None:
-            kind, cert = "inside", [Fraction(0)] * len(points)
-            cert[i] += Fraction(1, 2)
-            cert[j] += Fraction(1, 2)
-            break
-    else:
-        kind, cert = _phase_one(points)
+    kind, cert = _phase_one(points)
     if kind == "inside":
         if not _check_inside(points, cert):
             raise AssertionError("convex-combination certificate failed")

@@ -28,7 +28,7 @@ built; its default depends on the mode.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, lcm, log10, prod
 from operator import add, mul
 
 from .multiindex import enumerate_lambda, lambda_size
@@ -160,7 +160,6 @@ def _plan(weights, D, mode, budget_nodes):
     if M < D:
         raise ValueError("degenerate input: %d rows but %d columns" % (M, D))
     plan, nodes = ("scan", None), comb(M, D)
-    what = "C(%d, %d) = %d row subsets" % (M, D, nodes)
     if mode == "pruned":
         U, widths = _reduction(weights, D)
         if prod(widths) < nodes:
@@ -168,6 +167,10 @@ def _plan(weights, D, mode, budget_nodes):
             what = "up to %d evaluation points (box %s)" % (
                 nodes, " x ".join(map(str, widths)))
     if nodes > budget_nodes:
+        if plan[0] == "scan":       # str() refuses ints of over 4300 digits
+            count = ("= %d" % nodes if nodes < 10 ** 100
+                     else "~ 10^%d" % (nodes.bit_length() * log10(2)))
+            what = "C(%d, %d) %s row subsets" % (M, D, count)
         raise BudgetExceeded("minor search needs %s, budget %d"
                              % (what, budget_nodes))
     return plan

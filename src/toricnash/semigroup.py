@@ -8,6 +8,7 @@ that set has d elements.
 """
 
 from dataclasses import dataclass
+from operator import sub
 
 from . import lattice_geometry
 
@@ -24,16 +25,14 @@ class Chart:
 def chart_generators(A, S, m0):
     """A union {m - m0 : m in S, m != m0}, deduplicated and lex-sorted.
 
-    Zero vectors (from m = m0 collisions with generators) are dropped:
-    they generate nothing and would falsely trip the essentiality test.
+    The zero vector m0 - m0 is dropped: it generates nothing and would
+    falsely trip the essentiality test.
     """
     m0 = tuple(m0)
     if m0 not in S:
         raise ValueError("center %r is not an exponent of S" % (m0,))
     gens = set(A.columns)
-    for m in S.exponents:
-        if m != m0:
-            gens.add(tuple(a - b for a, b in zip(m, m0)))
+    gens.update(tuple(map(sub, m, m0)) for m in S.exponents)
     gens.discard((0,) * A.d)
     return tuple(sorted(gens))
 
@@ -123,12 +122,20 @@ def minimal_generators(gens, w=None):
 
 
 def analyze_chart(A, S, m0):
-    """Build the chart at m0 and classify it."""
+    """Build the chart at m0 and classify it, skipping it without an LP
+    when its generators hold a pair g, -g, which is read off S."""
     gens = chart_generators(A, S, m0)
-    kind, cert = lattice_geometry.origin_certificate(gens)
+    m0 = tuple(m0)
+    # A is pointed (validate_input), so a pair is a, -a = (m0 - a) - m0 for
+    # an a in A, or m - m0, -(m - m0) = (2*m0 - m) - m0 for an m != m0.
+    pair = (any(tuple(map(sub, m0, a)) in S for a in A.columns)
+            or any(m != m0 and tuple(2 * c - e for c, e in zip(m0, m)) in S
+                   for m in S.exponents))
+    kind, cert = (("inside", None) if pair
+                  else lattice_geometry.origin_certificate(gens))
     if kind == "inside":
-        return Chart(center=tuple(m0), generators=gens, essential=False)
+        return Chart(center=m0, generators=gens, essential=False)
     mingens = minimal_generators(gens, cert)
-    return Chart(center=tuple(m0), generators=gens, essential=True,
+    return Chart(center=m0, generators=gens, essential=True,
                  minimal_generators=mingens,
                  smooth=(len(mingens) == A.d))

@@ -10,6 +10,8 @@ from toricnash.monomial_jacobian import GeneratorMatrix
 # Reference surface used throughout: four generators in Z^2.
 SURFACE = GeneratorMatrix(columns=((1, 0), (1, 1), (1, 2), (2, 5)))
 
+CONE3 = GeneratorMatrix(columns=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+
 S1_EXPECTED = ((1, 0), (1, 1), (1, 2), (2, 4), (2, 5), (2, 6))
 
 
@@ -22,6 +24,20 @@ def s2_expected():
 
 
 S2_EXPECTED = s2_expected()
+
+
+def cyclic_quotient(p, r):
+    """A = Hilbert basis of cone((1,0),(p,r)): its irreducible points.
+
+    The cone lies in the first quadrant, so a summand of a point is below
+    it in both coordinates, and the Hilbert basis lies in the closed
+    fundamental parallelogram, inside the box x <= p + 1, y <= r.
+    """
+    cone = {(x, y) for x in range(p + 2) for y in range(r + 1)
+            if (x, y) != (0, 0) and r * x - p * y >= 0}
+    return GeneratorMatrix(columns=tuple(sorted(
+        v for v in cone
+        if not any((v[0] - u[0], v[1] - u[1]) in cone for u in cone))))
 
 
 @pytest.fixture

@@ -203,6 +203,30 @@ def test_unknown_flag(surface_input):
     code, _, _ = run(["step", "--input", surface_input, "--order", "1",
                       "--bogus"])
     assert code == 2
+    # Each subcommand takes only the flags it honours.
+    for command, flag in [("matrix", "--mode=naive"),
+                          ("matrix", "--budget-nodes=10"),
+                          ("matrix", "--exponent-form=raw"),
+                          ("step", "--exponent-form=raw"),
+                          ("resolve", "--exponent-form=raw")]:
+        order = "--max-order" if command == "resolve" else "--order"
+        code, out, _ = run([command, "--input", surface_input, order, "1",
+                            flag])
+        assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("mode", ["pruned", "naive"])
+def test_huge_minor_search_is_refused_in_one_line(tmp_path, mode):
+    # C(20348, 4844) has 4,848 digits, more than str() converts.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"d": 4, "generators": [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+        [1, 1, 1, 1]]}))
+    code, out, err = run(["step", "--input", str(path), "--order", "16",
+                          "--mode", mode])
+    assert (code, out) == (1, "")
+    assert err.startswith("budget exhausted: minor search needs ")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_heavy_generator_step_has_no_recursion_limit(tmp_path):

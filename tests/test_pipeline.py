@@ -4,30 +4,17 @@ from itertools import combinations
 
 import pytest
 
-from conftest import S1_EXPECTED, S2_EXPECTED, SURFACE, det_cofactor
+from conftest import (CONE3, S1_EXPECTED, S2_EXPECTED, SURFACE,
+                      cyclic_quotient, det_cofactor)
 from toricnash import pipeline
 from toricnash.minors import BudgetExceeded, check_budget, sigma_shift
 from toricnash.monomial_jacobian import GeneratorMatrix
 from toricnash.pipeline import (InputError, StepConfig, nash_step,
                                 report_to_json, resolution_report_from_dict,
                                 resolve, step_report_from_dict)
+from toricnash.semigroup import member_certificate
 
 SMOOTH_PLANE = GeneratorMatrix(columns=((1, 0), (0, 1)))
-CONE3 = GeneratorMatrix(columns=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-
-
-def cyclic_quotient(p, r):
-    """A = Hilbert basis of cone((1,0),(p,r)): its irreducible points.
-
-    The cone lies in the first quadrant, so a summand of a point is below
-    it in both coordinates, and the Hilbert basis lies in the closed
-    fundamental parallelogram, inside the box x <= p + 1, y <= r.
-    """
-    cone = {(x, y) for x in range(p + 2) for y in range(r + 1)
-            if (x, y) != (0, 0) and r * x - p * y >= 0}
-    return GeneratorMatrix(columns=tuple(sorted(
-        v for v in cone
-        if not any((v[0] - u[0], v[1] - u[1]) in cone for u in cone))))
 
 
 def coordinate_change(seed, d):
@@ -43,6 +30,10 @@ def coordinate_change(seed, d):
 
 def mul(U, v):
     return tuple(sum(u * x for u, x in zip(row, v)) for row in U)
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def test_rejects_non_spanning_input():
@@ -95,16 +86,44 @@ def test_reference_surface_order_two():
     assert not step.all_smooth
 
 
+# Order-3 essential charts of the reference surface: center -> (w, the two
+# minimal generators, their determinant).
+ORDER_THREE_CHARTS = {
+    (7, 0): ((1, 1), ((0, 1), (1, 0)), -1),
+    (7, 20): ((5, -1), ((0, -1), (1, 4)), 1),
+    (9, 28): ((7, -2), ((-1, -4), (1, 3)), 1),
+    (18, 55): ((8, -3), ((-1, -3), (2, 5)), 1),
+}
+
+
 def test_reference_surface_order_three():
     # C(34, 9) = 52,451,256 row subsets; the search evaluates 448 points.
-    step = nash_step(SURFACE, 3)
+    report = resolve(SURFACE, 3)
+    assert (report.verdict, report.order) == ("smooth_at_order", 3)
+    step = report.steps[-1]
     assert (step.m_rows, step.d_cols) == (34, 9)
     assert len(step.exponents) == 370
     assert step.search_nodes == 448
     essential = {c.center: c for c in step.charts if c.essential}
-    assert set(essential) == {(7, 0), (7, 20), (9, 28), (18, 55)}
-    assert all(len(c.minimal_generators) == 2 for c in essential.values())
+    assert set(essential) == set(ORDER_THREE_CHARTS)
     assert step.all_smooth
+    # Each chart is certified smooth in integers: w.g >= 1 on every chart
+    # generator, the two minimal generators have weight 1 and det +-1, and
+    # member_certificate writes every generator as a sum of the two.
+    for m0, (w, (g1, g2), det) in ORDER_THREE_CHARTS.items():
+        chart = essential[m0]
+        gens = set(SURFACE.columns) | {
+            tuple(a - b for a, b in zip(m, m0)) for m in step.exponents}
+        gens.discard((0, 0))
+        assert set(chart.generators) == gens and len(gens) == 369
+        assert chart.minimal_generators == (g1, g2)
+        assert g1[0] * g2[1] - g1[1] * g2[0] == det
+        assert dot(w, g1) == dot(w, g2) == 1
+        assert all(dot(w, g) >= 1 for g in gens)
+        for g in gens:
+            lam = member_certificate(g, (g1, g2), w)
+            assert lam is not None and all(
+                lam[0] * x + lam[1] * y == v for x, y, v in zip(g1, g2, g))
 
 
 @pytest.mark.parametrize("mode", ["pruned", "naive"])
@@ -196,9 +215,26 @@ def test_cyclic_quotient_basis_of_reference_cone():
     ids=["surface-1", "surface-2", "cq13-1", "cq13-2", "cq35-1", "cq35-2",
          "cq27-2", "cone3-1"])
 def test_unimodular_invariance(A, n, seed):
+    U = coordinate_change(seed, A.d)
+    assert_covariant(
+        A, GeneratorMatrix(columns=tuple(mul(U, g) for g in A.columns)), U, n)
+
+
+@pytest.mark.parametrize("p, q, r", [(2, 3, 5), (2, 4, 7), (3, 5, 7)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ray_swap_covariance(p, q, r, n):
+    # p*q = 1 mod r: U maps the rays (1,0), (p,r) to (q,r), (1,0), so it
+    # maps the Hilbert basis of one cone onto that of the other.
+    U = [[q, (1 - p * q) // r], [r, -p]]
+    A, B = cyclic_quotient(p, r), cyclic_quotient(q, r)
+    assert {mul(U, a) for a in A.columns} == set(B.columns)
+    assert_covariant(A, B, U, n)
+
+
+def assert_covariant(A, B, U, n):
+    """The order-n step of B is that of A moved by U in GL_d(Z)."""
     # The program reports exponents minus sigma_n, so a moved exponent
     # U.e + U.sigma_n reads U.e + (U.sigma_n - sigma_n).
-    U = coordinate_change(seed, A.d)
     sigma = sigma_shift(A.d, n)
     shift = tuple(a - b for a, b in zip(mul(U, sigma), sigma))
 
@@ -206,8 +242,7 @@ def test_unimodular_invariance(A, n, seed):
         return tuple(a + b for a, b in zip(mul(U, e), shift))
 
     base = nash_step(A, n)
-    moved = nash_step(
-        GeneratorMatrix(columns=tuple(mul(U, g) for g in A.columns)), n)
+    moved = nash_step(B, n)
     assert set(moved.exponents) == {move(e) for e in base.exponents}
     essential = {move(c.center): c for c in base.charts if c.essential}
     moved_essential = {c.center: c for c in moved.charts if c.essential}

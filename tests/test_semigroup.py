@@ -1,21 +1,26 @@
 import random
-from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import SURFACE, exhaustive_member
-from toricnash.lattice_geometry import origin_certificate, zspan_is_full
+from conftest import (CONE3, SURFACE, chart_certificate_holds, cyclic_quotient,
+                      exhaustive_member)
+from toricnash import lattice_geometry, semigroup
+from toricnash.lattice_geometry import zspan_is_full
 from toricnash.minors import nonzero_minor_exponents
 from toricnash.monomial_jacobian import build_coeff_matrix
-from toricnash import semigroup
 from toricnash.pipeline import nash_step
 from toricnash.semigroup import (analyze_chart, chart_generators, member,
                                  member_certificate, minimal_generators)
 
 
+def s_of(A, n):
+    return nonzero_minor_exponents(build_coeff_matrix(A, n))
+
+
 def s_at(n):
-    return nonzero_minor_exponents(build_coeff_matrix(SURFACE, n))
+    return s_of(SURFACE, n)
 
 
 def test_chart_generators_reference_order_one():
@@ -200,19 +205,42 @@ def test_chart_generators_span_the_lattice(n):
         assert zspan_is_full(chart.generators)
 
 
+def count_certificates(monkeypatch):
+    """Record the point set of every origin_certificate call."""
+    calls = []
+    certificate = lattice_geometry.origin_certificate
+    monkeypatch.setattr(lattice_geometry, "origin_certificate",
+                        lambda points: calls.append(tuple(points))
+                        or certificate(points))
+    return calls
+
+
 @pytest.mark.parametrize("n, skipped", [(1, 3), (2, 59)])
-def test_skipped_charts_hold_a_zero_sum_pair(n, skipped):
+def test_skipped_charts_hold_a_zero_sum_pair(n, skipped, monkeypatch):
     # Every non-essential chart of the reference surface holds g and -g,
-    # and the certificate is exactly that pair, found without an LP.
-    charts = [c for c in nash_step(SURFACE, n).charts if not c.essential]
+    # and the chart layer skips it without calling origin_certificate.
+    calls = count_certificates(monkeypatch)
+    step = nash_step(SURFACE, n)
+    charts = [c for c in step.charts if not c.essential]
     assert len(charts) == skipped
-    for chart in charts:
-        kind, cert = origin_certificate(chart.generators)
-        assert kind == "inside"
-        support = [g for g, l in zip(chart.generators, cert) if l]
-        assert [l for l in cert if l] == [Fraction(1, 2)] * 2
-        g, h = support
-        assert h == tuple(-v for v in g)
+    assert all(chart_certificate_holds(c.generators, None) for c in charts)
+    # one call checks the input; one per essential chart decides it
+    assert calls == [SURFACE.columns] + [
+        c.generators for c in step.charts if c.essential]
+
+
+@pytest.mark.parametrize("A, n", [(cyclic_quotient(p, r), n)
+                                  for r in range(2, 8) for p in range(1, r)
+                                  if gcd(p, r) == 1 for n in (1, 2)]
+                         + [(CONE3, 1), (CONE3, 2)])
+def test_chart_skip_is_exactly_a_pair(A, n, monkeypatch):
+    S = s_of(A, n)
+    calls = count_certificates(monkeypatch)
+    for m0 in S.exponents:
+        calls.clear()
+        chart = analyze_chart(A, S, m0)
+        assert (not calls) == chart_certificate_holds(chart.generators, None)
+        assert not calls or calls == [chart.generators]
 
 
 def test_analyze_chart_non_essential():
